@@ -227,10 +227,13 @@ bench-json-incr:
 # show as only-in-new there), BENCH_INCR_BASELINE pins the maintenance
 # throughput and its exact per-batch domain metrics. The first diff
 # also pairs each *Verified benchmark with its unverified twin inside
-# the fresh report and bounds the routing-verification overhead.
+# the fresh report and bounds the routing-verification overhead; the
+# second pairs each *Checkpointed benchmark with its base the same way
+# and bounds the cost of the checkpointed round every mpcd session
+# runs.
 verify-perf:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_head_raw.txt
 	$(GO) run ./cmd/benchjson -out BENCH_head.json .bench_head_raw.txt
 	@rm -f .bench_head_raw.txt
 	$(GO) run ./cmd/benchdiff -max-regress $(MAX_REGRESS) -overhead-suffix Verified -max-overhead $(MAX_OVERHEAD) $(BENCH_BASELINE) BENCH_head.json
-	$(GO) run ./cmd/benchdiff -max-regress $(MAX_REGRESS) $(BENCH_INCR_BASELINE) BENCH_head.json
+	$(GO) run ./cmd/benchdiff -max-regress $(MAX_REGRESS) -overhead-suffix Checkpointed -max-overhead $(MAX_OVERHEAD) $(BENCH_INCR_BASELINE) BENCH_head.json

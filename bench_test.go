@@ -202,6 +202,21 @@ func BenchmarkHyperCubeTriangle(b *testing.B) {
 // count with sampled receiver-side routing verification — paired by
 // benchdiff with BenchmarkHyperCubeTriangle/p=64.
 func BenchmarkHyperCubeTriangleVerified(b *testing.B) {
+	benchHyperCubeTriangleP64(b, mpc.WithRoutingVerification(verifyStride))
+}
+
+// The served path: every mpcd session cluster runs WithCheckpoints, so
+// this twin of BenchmarkHyperCubeTriangle/p=64 prices the checkpointed
+// round (recovery planning plus the post-round checkpoint) through
+// benchdiff's Checkpointed pairing.
+func BenchmarkHyperCubeTriangleCheckpointed(b *testing.B) {
+	benchHyperCubeTriangleP64(b, mpc.WithCheckpoints())
+}
+
+// benchHyperCubeTriangleP64 is BenchmarkHyperCubeTriangle/p=64 with
+// extra cluster options, as the sub-benchmark p=64 so benchdiff pairs
+// it with its base.
+func benchHyperCubeTriangleP64(b *testing.B, opts ...mpc.Option) {
 	d := rel.NewDict()
 	q := triangleQ(d)
 	m := 20000
@@ -215,7 +230,7 @@ func BenchmarkHyperCubeTriangleVerified(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			last = runLoadOnly(b, g.P(), inst, hypercube.HyperCubeRound(g), mpc.WithRoutingVerification(verifyStride))
+			last = runLoadOnly(b, g.P(), inst, hypercube.HyperCubeRound(g), opts...)
 		}
 		b.ReportMetric(float64(last.MaxLoad()), "maxload")
 		b.ReportMetric(3*float64(m)/math.Pow(64, 2.0/3.0), "bound")

@@ -33,6 +33,14 @@ func tcpOpts(t *testing.T, p int) []mpc.Option {
 	return []mpc.Option{mpc.WithTransport(tr)}
 }
 
+// withCheckpoints adds mpc.WithCheckpoints to a transport's options:
+// the configuration every mpcd session cluster runs with.
+func withCheckpoints(mk optsFor) optsFor {
+	return func(t *testing.T, p int) []mpc.Option {
+		return append(mk(t, p), mpc.WithCheckpoints())
+	}
+}
+
 // TestTransportEquivalence is the tentpole acceptance gate: every
 // program in the matrix — one-round HyperCube triangle, cascade
 // triangle, distributed Yannakakis, GYM, and the incremental ΔTC
@@ -40,7 +48,9 @@ func tcpOpts(t *testing.T, p int) []mpc.Option {
 // from the in-process simulator: byte-identical output, per-server
 // state, and logical trace, with MaxLoad/TotalComm/DeltaComm
 // unchanged. The transport is allowed to change HOW bytes move, never
-// WHAT the model computes or charges.
+// WHAT the model computes or charges. The checkpointed variants, local
+// and tcp, hold the round pipeline with its recovery stage enabled to
+// the same plain local reference.
 func TestTransportEquivalence(t *testing.T) {
 	d := rel.NewDict()
 	triQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
@@ -97,27 +107,35 @@ func TestTransportEquivalence(t *testing.T) {
 			prog := prog
 			t.Run(fmt.Sprintf("%s/p=%d", prog.name, p), func(t *testing.T) {
 				ref := prog.run(t, localOpts)
-				got := prog.run(t, tcpOpts)
-
-				if ref.P() != got.P() {
-					t.Fatalf("cluster sizes diverged: local %d, tcp %d", ref.P(), got.P())
-				}
-				if g, w := got.Output().String(), ref.Output().String(); g != w {
-					t.Errorf("tcp output diverged from local:\n got %s\nwant %s", g, w)
-				}
-				for i := 0; i < ref.P(); i++ {
-					if !got.Server(i).Equal(ref.Server(i)) {
-						t.Errorf("server %d state diverged between transports", i)
+				for _, v := range []struct {
+					name string
+					mk   optsFor
+				}{
+					{"tcp", tcpOpts},
+					{"local+checkpoints", withCheckpoints(localOpts)},
+					{"tcp+checkpoints", withCheckpoints(tcpOpts)},
+				} {
+					got := prog.run(t, v.mk)
+					if ref.P() != got.P() {
+						t.Fatalf("cluster sizes diverged: local %d, %s %d", ref.P(), v.name, got.P())
 					}
-				}
-				if g, w := got.LogicalTrace(), ref.LogicalTrace(); g != w {
-					t.Errorf("tcp logical trace diverged from local:\n got %q\nwant %q", g, w)
-				}
-				if got.MaxLoad() != ref.MaxLoad() || got.TotalComm() != ref.TotalComm() ||
-					got.DeltaCommTotal() != ref.DeltaCommTotal() || got.Rounds() != ref.Rounds() {
-					t.Errorf("tcp cost metrics diverged: maxload %d/%d, total %d/%d, delta %d/%d, rounds %d/%d",
-						got.MaxLoad(), ref.MaxLoad(), got.TotalComm(), ref.TotalComm(),
-						got.DeltaCommTotal(), ref.DeltaCommTotal(), got.Rounds(), ref.Rounds())
+					if g, w := got.Output().String(), ref.Output().String(); g != w {
+						t.Errorf("%s output diverged from local:\n got %s\nwant %s", v.name, g, w)
+					}
+					for i := 0; i < ref.P(); i++ {
+						if !got.Server(i).Equal(ref.Server(i)) {
+							t.Errorf("%s: server %d state diverged from local", v.name, i)
+						}
+					}
+					if g, w := got.LogicalTrace(), ref.LogicalTrace(); g != w {
+						t.Errorf("%s logical trace diverged from local:\n got %q\nwant %q", v.name, g, w)
+					}
+					if got.MaxLoad() != ref.MaxLoad() || got.TotalComm() != ref.TotalComm() ||
+						got.DeltaCommTotal() != ref.DeltaCommTotal() || got.Rounds() != ref.Rounds() {
+						t.Errorf("%s cost metrics diverged: maxload %d/%d, total %d/%d, delta %d/%d, rounds %d/%d",
+							v.name, got.MaxLoad(), ref.MaxLoad(), got.TotalComm(), ref.TotalComm(),
+							got.DeltaCommTotal(), ref.DeltaCommTotal(), got.Rounds(), ref.Rounds())
+					}
 				}
 			})
 		}

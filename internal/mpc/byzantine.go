@@ -37,7 +37,7 @@ import (
 //     shipped. This additionally catches selective omission, which no
 //     receiver can see locally.
 //
-// Recovery reuses the crash-stop path's determinism argument: a
+// Recovery reuses crash-stop recovery's determinism argument: a
 // transiently lying server is quarantined — its shard is replaced by
 // the audited re-execution, charged to the recovery metrics
 // (Quarantined, Retries, ReplicaComm, virtual-clock ticks) — and the
@@ -170,23 +170,23 @@ func (e *RoutingIntegrityError) Error() string {
 }
 
 // WithByzantinePlan installs a Byzantine routing-fault plan and enables
-// the fault-tolerant execution path (detection needs the per-source
-// shards and checkpointed state that path maintains). Plan round
-// indices are absolute, as with WithFaultPlan.
+// checkpoints; while the plan is nonempty every round routes one shard
+// per source, so detection can attribute each delivery to its source.
+// Plan round indices are absolute, as with WithFaultPlan.
 func WithByzantinePlan(p *ByzantinePlan) Option {
 	return func(c *Cluster) { c.ensureFT().byz = p }
 }
 
 // WithRoutingVerification enables sampled receiver-side routing checks
-// on every execution path: each destination re-asks the round's
+// in every round: each destination re-asks the round's
 // Keep/Route decision whether a sampled delivery belongs to it, and a
 // violation fails the round with a RoutingIntegrityError carrying the
 // Fact.Less-minimal witness (found by an exhaustive rescan, so the
 // sampling stride never changes which witness is reported).
 // sampleEvery = 1 checks every delivered fact; k > 1 checks one in k
 // (the production setting: bounded overhead, eventual detection of a
-// repeat offender); 0 — the default — disables verification and keeps
-// the fault-free hot path byte-identical and zero-overhead.
+// repeat offender); 0 — the default — disables verification, and the
+// verify stage of RunRound does nothing.
 func WithRoutingVerification(sampleEvery int) Option {
 	if sampleEvery < 0 {
 		panic(fmt.Sprintf("mpc: negative routing-verification stride %d", sampleEvery))
@@ -225,16 +225,11 @@ func legalShardDst(r Round, p, lo, hi, dst int, f rel.Fact) (legal bool) {
 	return false
 }
 
-// legalDst is legalShardDst for the fault-tolerant path's one-source
-// shards, where the source of every delivery is known exactly.
-func legalDst(r Round, p, src, dst int, f rel.Fact) bool {
-	return legalShardDst(r, p, src, src+1, dst, f)
-}
-
-// scanShard finds the Fact.Less-minimal illegally placed delivery in a
-// single-source shard. Destinations are visited ascending, so among
-// equal-minimal facts the lowest destination is reported.
-func scanShard(r Round, p, src int, sh *Shard) (witness rel.Fact, dst int, found bool) {
+// minimalWitness finds the Fact.Less-minimal illegally placed delivery
+// in a shard covering sources [lo, hi). Destinations are visited
+// ascending, so among equal-minimal facts the lowest destination is
+// reported.
+func minimalWitness(r Round, p, lo, hi int, sh *Shard) (witness rel.Fact, dst int, found bool) {
 	for d := 0; d < p; d++ {
 		out := sh.Outs[d]
 		if out == nil {
@@ -244,7 +239,7 @@ func scanShard(r Round, p, src int, sh *Shard) (witness rel.Fact, dst int, found
 			if found && !f.Less(witness) {
 				return true
 			}
-			if !legalDst(r, p, src, d, f) {
+			if !legalShardDst(r, p, lo, hi, d, f) {
 				witness, dst, found = f, d, true
 			}
 			return true
@@ -325,7 +320,7 @@ func illegalDstFor(r Round, p, src int, f rel.Fact, rng *rand.Rand) (int, bool) 
 	start := rng.Intn(p)
 	for i := 0; i < p; i++ {
 		d := (start + i) % p
-		if !legalDst(r, p, src, d, f) {
+		if !legalShardDst(r, p, src, src+1, d, f) {
 			return d, true
 		}
 	}
@@ -400,15 +395,16 @@ func applyByzEvent(r Round, p, src int, sh *Shard, ev ByzantineEvent, local *rel
 }
 
 // applyByzantine realizes the Byzantine plan's events for this round on
-// the per-source shards (the fault-tolerant path routes one shard per
-// source, so shard index = source) and runs the detection pipeline per
-// accused source, ascending: corrupt, audit by re-execution, quarantine
-// on audit mismatch, receiver-side legality check of whatever finally
-// ships. It returns the virtual-clock completion tick of the
-// verification layer's repairs (0 when nothing fired). All of this
-// precedes the Exchange, so a quarantined round's logical metrics are
-// byte-identical to fault-free by construction, and an error return
-// precedes any state mutation (RunRound's atomicity).
+// the per-source shards (a cluster with a Byzantine plan routes one
+// shard per source, so shard index = source) and runs the detection
+// pipeline per accused source, ascending: corrupt, audit by
+// re-execution, quarantine on audit mismatch, receiver-side legality
+// check of whatever finally ships. It returns the virtual-clock
+// completion tick of the verification layer's repairs (0 when nothing
+// fired). All of this precedes the Exchange, so a quarantined round's
+// logical metrics are byte-identical to fault-free by construction,
+// and an error return precedes any state mutation (RunRound's
+// atomicity).
 func (c *Cluster) applyByzantine(round int, r Round, shards []Shard, stats *RoundStats) (int, error) {
 	events := c.ft.byz.eventsAt(round)
 	if len(events) == 0 {
@@ -458,7 +454,7 @@ func (c *Cluster) applyByzantine(round int, r Round, shards []Shard, stats *Roun
 		// Receiver-side legality check of what the source finally
 		// ships. Corruption that survived the audit (a persistent liar)
 		// is detectable iff some delivery violates the policy.
-		if w, d, found := scanShard(r, c.p, src, &shards[src]); found {
+		if w, d, found := minimalWitness(r, c.p, src, src+1, &shards[src]); found {
 			kind := Forge
 			if c.servers[src].Contains(w) {
 				kind = Misroute
@@ -525,40 +521,19 @@ func (c *Cluster) verifyShards(r Round, shards []Shard, chunk int) error {
 // misrouter; no holder means the fact was forged).
 func (c *Cluster) integrityError(r Round, shards []Shard, chunk int) error {
 	var wit rel.Fact
-	wDst, wShard := -1, -1
+	wDst, lo, hi := -1, 0, 0
 	found := false
 	for w := range shards {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > c.p {
-			hi = c.p
-		}
-		sh := &shards[w]
-		for d := 0; d < c.p; d++ {
-			out := sh.Outs[d]
-			if out == nil {
-				continue
-			}
-			out.Each(func(f rel.Fact) bool {
-				if found && !f.Less(wit) {
-					return true
-				}
-				if !legalShardDst(r, c.p, lo, hi, d, f) {
-					wit, wDst, wShard, found = f, d, w, true
-				}
-				return true
-			})
+		slo, shi := w*chunk, min((w+1)*chunk, c.p)
+		f, d, ok := minimalWitness(r, c.p, slo, shi, &shards[w])
+		if ok && (!found || f.Less(wit)) {
+			wit, wDst, lo, hi, found = f, d, slo, shi, true
 		}
 	}
 	if !found {
 		// The sampled pass saw a violation, so the exhaustive pass must
 		// find one; reaching here is an engine bug, not a fault.
 		return fmt.Errorf("mpc: routing verification lost its witness in round %q", r.Name)
-	}
-	lo := wShard * chunk
-	hi := lo + chunk
-	if hi > c.p {
-		hi = c.p
 	}
 	accused, kind := lo, Forge
 	for s := lo; s < hi; s++ {

@@ -139,7 +139,7 @@ func TestByzantineWitnessIsMinimal(t *testing.T) {
 		t.Fatal(rerr)
 	}
 	applyByzEvent(rounds[0], 4, 1, &sh, ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 3, Seed: 77, Persistent: true}, c.Server(1))
-	w, _, found := scanShard(rounds[0], 4, 1, &sh)
+	w, _, found := minimalWitness(rounds[0], 4, 1, 2, &sh)
 	if !found {
 		t.Fatal("no witness in re-derived corrupted shard")
 	}

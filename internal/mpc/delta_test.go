@@ -260,6 +260,56 @@ func TestRestoreDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointExcludesDeltaOfFailedBatch pins the post-round
+// checkpoint as eager: it is cut at commit, so the Δ facts ApplyUpdate
+// places before a failed Inject round never reach it, and restoring
+// from it re-applies the batch from a clean batch boundary.
+func TestCheckpointExcludesDeltaOfFailedBatch(t *testing.T) {
+	straight := NewCluster(4)
+	if err := straight.RunDelta(countdownProgram(4), naturals(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := straight.ApplyUpdate(naturals(6)); err != nil {
+		t.Fatal(err)
+	}
+
+	c := NewCluster(4, WithCheckpoints())
+	if err := c.RunDelta(countdownProgram(4), naturals(3)); err != nil {
+		t.Fatal(err)
+	}
+	// The next round is the batch's first Inject round; crashing one of
+	// its servers past the retry budget fails it after loadDelta ran.
+	c.SetFaultPlan(NewFaultPlan().AddCrash(c.Rounds(), 0, DefaultRetryBudget+1))
+	if err := c.ApplyUpdate(naturals(6)); err == nil {
+		t.Fatal("inject round with an exhausted retry budget succeeded")
+	}
+	restored, err := RestoreDelta(c.Checkpoint(), countdownProgram(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < restored.P(); s++ {
+		for _, name := range restored.Server(s).RelationNames() {
+			if r := restored.Server(s).Relation(name); strings.HasPrefix(name, DeltaName("")) && r.Len() > 0 {
+				t.Fatalf("checkpoint holds %d Δ facts of the failed batch in %s on server %d", r.Len(), name, s)
+			}
+		}
+	}
+	if err := restored.ApplyUpdate(naturals(6)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Output().String(), straight.Output().String(); got != want {
+		t.Fatalf("re-applied output %s != straight-through %s", got, want)
+	}
+	for s := 0; s < 4; s++ {
+		if !restored.Server(s).Equal(straight.Server(s)) {
+			t.Fatalf("server %d state differs: %s vs %s", s, restored.Server(s), straight.Server(s))
+		}
+	}
+	if got, want := restored.LogicalTrace(), straight.LogicalTrace(); got != want {
+		t.Fatalf("re-applied trace differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
 func TestRestoreDeltaRejectsMidInjectionCheckpoint(t *testing.T) {
 	// A two-round Inject whose second round always fails: the rolling
 	// checkpoint then sits between the batch's rounds, which

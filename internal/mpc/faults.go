@@ -410,9 +410,9 @@ func StandardFaultMatrix(seed int64, rounds, p int) []NamedFaultPlan {
 
 // carryingLinks lists the src ≠ dst links of a routed round that carry
 // at least one fact, in ascending (src, dst) order — the sites drop
-// and duplication faults can hit. With one shard per source (the
-// fault-tolerant path routes at chunk 1), shards[src].Sent[dst] is
-// exactly the src→dst transfer size.
+// and duplication faults can hit. A cluster with a fault plan routes
+// one shard per source, so shards[src].Sent[dst] is exactly the
+// src→dst transfer size.
 func carryingLinks(shards []Shard) []linkKey {
 	var links []linkKey
 	for src := range shards {

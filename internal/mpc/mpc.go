@@ -27,8 +27,16 @@
 // facts — by receiver-side verification against the round's placement
 // policy plus a deterministic re-execution audit, quarantining
 // transient liars and failing persistent ones with a typed
-// RoutingIntegrityError (see byzantine.go). With no fault-tolerance
-// Option installed, rounds execute on the original zero-overhead path.
+// RoutingIntegrityError (see byzantine.go).
+//
+// Every cluster runs the same round pipeline (RunRound): route →
+// inject faults → verify → exchange → stats → adopt residents → plan
+// recovery → compute → commit. The fault, verification and recovery
+// stages do nothing unless the Option that configures them is
+// installed. The per-server stages (RouteSource, AdoptResidents,
+// ComputeServer, MergeFragments, RoundStats.FoldLoad) are exported, so
+// worker processes that each play one server execute the same round
+// definition.
 package mpc
 
 import (
@@ -131,7 +139,8 @@ func (r Round) sets() roundSets {
 // recovered fault plan — they are the quantities the MPC load bounds
 // constrain. The recovery metrics (Retries, RecoveredServers,
 // ReplicaComm, SpeculativeWins, VirtualMakespan) describe what fault
-// tolerance cost on top; they are all zero on the fault-free path.
+// tolerance cost on top; they are all zero on a cluster without
+// fault-tolerance Options.
 type RoundStats struct {
 	Name      string
 	Received  []int // facts received per server (load)
@@ -176,13 +185,28 @@ func (s RoundStats) LogicalString() string {
 	base := fmt.Sprintf("round %s: received %v, max load %d, total communication %d",
 		s.Name, s.Received, s.MaxLoad, s.TotalComm)
 	if s.DeltaComm != 0 {
-		// DeltaComm is computed from the same shards as TotalComm on
-		// both execution paths, so it is logical and fault-invariant;
-		// rendering it only when nonzero keeps pre-delta traces
-		// byte-identical.
+		// DeltaComm is computed from the same shards as TotalComm, so
+		// it is logical and fault-invariant; rendering it only when
+		// nonzero keeps pre-delta traces byte-identical.
 		base += fmt.Sprintf(", delta communication %d", s.DeltaComm)
 	}
 	return base
+}
+
+// FoldLoad records a round's logical load from the per-server received
+// counts: Received itself, MaxLoad as their maximum, TotalComm as their
+// sum, and deltaComm as the Δ share of that traffic. It is the one
+// place the load metrics are derived, for RunRound and for rounds
+// reassembled from the reports of remote worker processes.
+func (s *RoundStats) FoldLoad(received []int, deltaComm int) {
+	s.Received, s.DeltaComm = received, deltaComm
+	s.MaxLoad, s.TotalComm = 0, 0
+	for _, n := range received {
+		s.TotalComm += n
+		if n > s.MaxLoad {
+			s.MaxLoad = n
+		}
+	}
 }
 
 // Cluster is a simulated MPC deployment.
@@ -191,7 +215,7 @@ type Cluster struct {
 	servers     []*rel.Instance
 	stats       []RoundStats
 	tr          Transport   // nil: in-process Local transport (see transport.go)
-	ft          *ftState    // nil: fault tolerance off, zero-overhead path
+	ft          *ftState    // nil: no checkpoints, faults or recovery (see recovery.go)
 	delta       *deltaState // nil: no incremental program installed (see delta.go)
 	verifyEvery int         // sampled routing verification stride; 0: off (see byzantine.go)
 }
@@ -313,9 +337,10 @@ func (c *Cluster) LoadAt(server int, i *rel.Instance) {
 // outboxes wholesale. Bounding the number of shards by the worker
 // count (not p) keeps the outbox count at workers×p instead of p²,
 // which matters at large p where most (source, destination) pairs
-// carry only a few facts. (The fault-tolerant path deliberately routes
-// one shard per source — p shards — because fault plans address
-// individual network links; see recovery.go.)
+// carry only a few facts. Only a cluster with a FaultPlan or
+// ByzantinePlan installed routes one shard per source — p shards —
+// because those plans address individual src→dst links and sources
+// (see Cluster.chunk).
 //
 // Shards are what a Transport ships: Outs[dst] is the payload bound
 // for destination dst (nil when empty), Sent[dst] its logical fact
@@ -329,8 +354,8 @@ type Shard struct {
 }
 
 // deltaSent sums the shards' Δ deliveries — the DeltaComm of the
-// round. Like the merge, it is a pure function of the shards, so the
-// fault-free and fault-tolerant paths compute identical values.
+// round. Like the merge, it is a pure function of the shards, so it
+// does not depend on the shard granularity.
 func deltaSent(shards []Shard) int {
 	n := 0
 	for i := range shards {
@@ -466,10 +491,9 @@ func probeBadRoute(r Round, f rel.Fact, p int) (dst int, bad bool) {
 // Worker order is source order, so the first erring shard carries the
 // lowest erring source and repeated failing runs surface the same
 // error.
-func (c *Cluster) routePhase(r Round, chunk int) ([]Shard, error) {
+func (c *Cluster) routePhase(r Round, sets roundSets, chunk int) ([]Shard, error) {
 	workers := (c.p + chunk - 1) / chunk
 	shards := make([]Shard, workers)
-	sets := r.sets()
 	var routeWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -492,9 +516,14 @@ func (c *Cluster) routePhase(r Round, chunk int) ([]Shard, error) {
 	return shards, nil
 }
 
-// defaultChunk sizes the source ranges of the fault-free path so the
-// shard count is bounded by GOMAXPROCS.
-func (c *Cluster) defaultChunk() int {
+// chunk sizes the communication phase's source ranges. Fault and
+// Byzantine plans address individual src→dst links and sources, so
+// with either installed every source routes its own shard; otherwise
+// the shard count is bounded by GOMAXPROCS.
+func (c *Cluster) chunk() int {
+	if c.ft != nil && (!c.ft.plan.Empty() || !c.ft.byz.Empty()) {
+		return 1
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > c.p {
 		workers = c.p
@@ -515,14 +544,25 @@ func (c *Cluster) adoptResidents(r Round, sets roundSets, inboxes []*rel.Instanc
 	if sets.resident == nil {
 		return nil
 	}
+	for i, srv := range c.servers {
+		if err := AdoptResidents(r, i, srv, inboxes[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AdoptResidents is resident adoption for one server: each relation
+// the round names in Resident moves from the server's committed state
+// local into its round input inbox by reference, and a routed fact
+// already in a resident relation of inbox is a deterministic error.
+func AdoptResidents(r Round, server int, local, inbox *rel.Instance) error {
 	for _, name := range r.Resident {
-		for i, srv := range c.servers {
-			if in := inboxes[i].Relation(name); in != nil && in.Len() > 0 {
-				return fmt.Errorf("mpc: round %q routed facts into resident relation %q on server %d", r.Name, name, i)
-			}
-			if rl := srv.Relation(name); rl != nil {
-				inboxes[i].SetRelation(rl)
-			}
+		if in := inbox.Relation(name); in != nil && in.Len() > 0 {
+			return fmt.Errorf("mpc: round %q routed facts into resident relation %q on server %d", r.Name, name, server)
+		}
+		if rl := local.Relation(name); rl != nil {
+			inbox.SetRelation(rl)
 		}
 	}
 	return nil
@@ -530,16 +570,10 @@ func (c *Cluster) adoptResidents(r Round, sets roundSets, inboxes []*rel.Instanc
 
 // computePhase runs the computation phase: local and embarrassingly
 // parallel. Each worker writes only its own index of next/workerErrs,
-// so the fan-out is race-free by index-disjointness, and a panicking
-// Compute surfaces as this round's error instead of killing the
-// process (or worse, being silently lost). The error of the lowest
-// panicking server is reported, so repeated failing runs surface the
-// same error.
+// so the fan-out is race-free by index-disjointness. The error of the
+// lowest panicking server is reported, so repeated failing runs
+// surface the same error.
 func (c *Cluster) computePhase(r Round, inputs []*rel.Instance) ([]*rel.Instance, error) {
-	compute := r.Compute
-	if compute == nil {
-		compute = func(_ int, local *rel.Instance) *rel.Instance { return local }
-	}
 	next := make([]*rel.Instance, c.p)
 	workerErrs := make([]error, c.p)
 	var wg sync.WaitGroup
@@ -547,12 +581,7 @@ func (c *Cluster) computePhase(r Round, inputs []*rel.Instance) ([]*rel.Instance
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					workerErrs[i] = fmt.Errorf("mpc: server %d compute phase panicked in round %q: %v", i, r.Name, rec)
-				}
-			}()
-			next[i] = compute(i, inputs[i])
+			next[i], workerErrs[i] = ComputeServer(r, i, inputs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -561,17 +590,31 @@ func (c *Cluster) computePhase(r Round, inputs []*rel.Instance) ([]*rel.Instance
 			return nil, err
 		}
 	}
-	for i, inst := range next {
-		if inst == nil {
-			next[i] = rel.NewInstance()
-		}
-	}
 	return next, nil
+}
+
+// ComputeServer runs one server's computation phase on its round
+// input: a nil Compute is the identity, a nil result is an empty
+// instance, and a panicking Compute surfaces as the round's error
+// instead of killing the process (or worse, being silently lost).
+func ComputeServer(r Round, server int, input *rel.Instance) (out *rel.Instance, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			out, err = nil, fmt.Errorf("mpc: server %d compute phase panicked in round %q: %v", server, r.Name, rec)
+		}
+	}()
+	if r.Compute == nil {
+		return input, nil
+	}
+	if out = r.Compute(server, input); out == nil {
+		out = rel.NewInstance()
+	}
+	return out, nil
 }
 
 // commit atomically installs a completed round: the servers' new
 // instances and the round's stats become visible together, and the
-// post-round checkpoint (fault-tolerant clusters only) is refreshed.
+// post-round checkpoint (checkpointed clusters only) is refreshed.
 // No failure path reaches commit, which is what makes RunRound atomic.
 func (c *Cluster) commit(next []*rel.Instance, stats RoundStats) {
 	copy(c.servers, next)
@@ -582,7 +625,14 @@ func (c *Cluster) commit(next []*rel.Instance, stats RoundStats) {
 }
 
 // RunRound executes one communication + computation round and records
-// its statistics.
+// its statistics. It is the only round driver, a staged pipeline:
+//
+//	route → inject faults → verify → exchange → stats → adopt residents
+//	      → plan recovery → compute → commit
+//
+// Injecting faults (FaultPlan, ByzantinePlan), verifying routing
+// (WithRoutingVerification) and planning recovery (any fault-tolerance
+// Option) each do nothing unless their Option is installed.
 //
 // RunRound is atomic on failure: if it returns a non-nil error — a
 // routing error, a panicking Router/Keep/Compute, or an exhausted
@@ -591,17 +641,19 @@ func (c *Cluster) commit(next []*rel.Instance, stats RoundStats) {
 // retry a failed round (or resume a failed multi-round program, see
 // RunResumable) without repairing cluster state first.
 func (c *Cluster) RunRound(r Round) (RoundStats, error) {
-	if c.ft != nil {
-		return c.runRoundFT(r)
+	round := len(c.stats) // absolute round index, matches plan indexing
+	sets := r.sets()
+	chunk := c.chunk()
+	shards, err := c.routePhase(r, sets, chunk)
+	if err != nil {
+		return RoundStats{}, err
 	}
-	chunk := c.defaultChunk()
-	shards, err := c.routePhase(r, chunk)
+	stats := RoundStats{Name: r.Name}
+	commEnd, err := c.injectFaults(round, r, shards, &stats)
 	if err != nil {
 		return RoundStats{}, err
 	}
 	if c.verifyEvery > 0 {
-		// Sampled receiver-side routing verification (see byzantine.go).
-		// Off by default, so the hot path stays zero-overhead.
 		if err := c.verifyShards(r, shards, chunk); err != nil {
 			return RoundStats{}, err
 		}
@@ -610,19 +662,17 @@ func (c *Cluster) RunRound(r Round) (RoundStats, error) {
 	if err != nil {
 		return RoundStats{}, err
 	}
-	if err := c.adoptResidents(r, r.sets(), inboxes); err != nil {
+	stats.FoldLoad(received, deltaSent(shards))
+	if err := c.adoptResidents(r, sets, inboxes); err != nil {
 		return RoundStats{}, err
 	}
-	next, err := c.computePhase(r, inboxes)
+	inputs, err := c.planRecovery(round, r, inboxes, commEnd, &stats)
 	if err != nil {
 		return RoundStats{}, err
 	}
-	stats := RoundStats{Name: r.Name, Received: received, DeltaComm: deltaSent(shards)}
-	for _, n := range received {
-		stats.TotalComm += n
-		if n > stats.MaxLoad {
-			stats.MaxLoad = n
-		}
+	next, err := c.computePhase(r, inputs)
+	if err != nil {
+		return RoundStats{}, err
 	}
 	c.commit(next, stats)
 	return stats, nil

@@ -7,23 +7,25 @@ import (
 	"mpclogic/internal/rel"
 )
 
-// Checkpointed recovery for the synchronous engine.
+// Checkpointed recovery for the synchronous engine: the inject-faults
+// and plan-recovery stages of RunRound, and the post-round checkpoint
+// that commit refreshes. Both stages do nothing on a cluster without
+// fault-tolerance Options.
 //
-// The execution model: a fault-tolerant round routes exactly the
-// facts a fault-free round would (drops delay transfers, they do not
-// change what is eventually delivered; duplicates are absorbed by the
-// idempotent inbox union), then checkpoints every server's merged
-// round input before any computation starts. The computation phase is
-// a pure function of (server, input) — Compute's documented contract
-// — so a crashed server's partition is recovered by re-executing it
-// from the checkpoint on a recovery worker, and a straggling
-// partition can be raced by a speculative copy of the same
+// The execution model: a faulty round routes exactly the facts a
+// fault-free round would (drops delay transfers, they do not change
+// what is eventually delivered; duplicates are absorbed by the
+// idempotent inbox union). The computation phase is a pure function
+// of (server, input) — Compute's documented contract — so a crashed
+// server's partition is recovered by re-executing it from a copy of
+// its merged round input, taken before any computation starts, and a
+// straggling partition can be raced by a speculative copy of the same
 // re-execution. Both repairs reproduce the primary's output exactly,
 // which is the whole determinism argument: recovery changes WHEN a
 // round finishes (virtual ticks, tracked in VirtualMakespan) and HOW
 // MUCH extra traffic it costs (ReplicaComm), but never WHAT the round
 // computes. The logical metrics — Received, MaxLoad, TotalComm — are
-// computed from the same merged inboxes on both paths, so they are
+// folded from the merged inboxes whatever the fault plan, so they are
 // fault-invariant by construction, and the fault-transparency tests
 // pin that byte-for-byte.
 //
@@ -89,16 +91,16 @@ func cloneStats(stats []RoundStats) []RoundStats {
 	return out
 }
 
-// WithFaultPlan installs a fault plan and enables the fault-tolerant
-// execution path. Plan round indices are absolute: round r of the
-// plan fires on the cluster's r-th executed round.
+// WithFaultPlan installs a fault plan and enables checkpoints. Plan
+// round indices are absolute: round r of the plan fires on the
+// cluster's r-th executed round.
 func WithFaultPlan(p *FaultPlan) Option {
 	return func(c *Cluster) { c.ensureFT().plan = p }
 }
 
-// WithCheckpoints enables the fault-tolerant path (round-input
-// checkpointing, post-round cluster checkpoints for Checkpoint/
-// Restore) without injecting any faults.
+// WithCheckpoints enables the post-round cluster checkpoints behind
+// Checkpoint/Restore and the recovery-planning stage of every round,
+// without injecting any faults.
 func WithCheckpoints() Option {
 	return func(c *Cluster) { c.ensureFT() }
 }
@@ -121,9 +123,9 @@ func WithSpeculation(afterTicks int) Option {
 	return func(c *Cluster) { c.ensureFT().speculateAfter = afterTicks }
 }
 
-// WithReplication replicates each round's input checkpoint to k peer
-// servers (accounted in ReplicaComm). The checkpoint itself is always
-// persisted via policy.StableStore regardless of k.
+// WithReplication replicates each round's input to k peer servers
+// before computation, accounted in ReplicaComm at the inboxes' total
+// fact count per replica.
 func WithReplication(k int) Option {
 	if k < 0 {
 		panic(fmt.Sprintf("mpc: negative replication factor %d", k))
@@ -132,13 +134,9 @@ func WithReplication(k int) Option {
 }
 
 // SetFaultPlan installs (or replaces, or with nil removes) the fault
-// plan on an already-constructed cluster, enabling the fault-tolerant
-// path if it wasn't already.
+// plan on an already-constructed cluster, enabling checkpoints if they
+// weren't already.
 func (c *Cluster) SetFaultPlan(p *FaultPlan) { c.ensureFT().plan = p }
-
-// FaultTolerant reports whether the fault-tolerant execution path is
-// enabled.
-func (c *Cluster) FaultTolerant() bool { return c.ft != nil }
 
 // RecoveryStats aggregates the recovery metrics over rounds.
 type RecoveryStats struct {
@@ -162,185 +160,131 @@ func (c *Cluster) RecoveryTotals() RecoveryStats {
 	return t
 }
 
-// runRoundFT is RunRound on the fault-tolerant path. It differs from
-// the fault-free path in three ways: the communication phase routes
-// one shard per source (chunk 1), because fault plans address
-// individual src→dst links and per-source shards make the transfer
-// sizes exact; the merged round inputs are checkpointed before
-// computation; and the fault plan's crashes/drops/dups/stragglers are
-// charged to the recovery metrics on a virtual clock. It shares
-// RunRound's atomicity guarantee: every error return precedes commit.
-func (c *Cluster) runRoundFT(r Round) (RoundStats, error) {
+// injectFaults is RunRound's inject-faults stage. With a FaultPlan or
+// ByzantinePlan installed the shards are per-source (see chunk), so
+// shard index = source. Byzantine events fire first: the scheduled
+// corruption is applied, detected (re-execution audit plus
+// receiver-side legality), and either quarantined — the audited honest
+// shard replaces the lie, so everything downstream sees exactly the
+// fault-free shards — or, for a persistent compromise, fails the round
+// with a typed RoutingIntegrityError (see byzantine.go). Then the
+// plan's link faults are charged: drops delay a transfer
+// (retransmissions cost ReplicaComm and virtual time), dups add wire
+// traffic the idempotent merge discards, and corrupted transfers behave
+// like drops (the receiver discards the damaged frame; a clean
+// retransmission follows). A transport that can realize the link
+// faults physically at the frame layer is armed last, so the wire
+// absorbs the same havoc the virtual clock charged.
+//
+// It returns the tick the communication phase ends on the virtual
+// clock: 1 for a fault-free checkpointed round, 0 when the cluster has
+// no fault-tolerance Options (and this stage does nothing).
+func (c *Cluster) injectFaults(round int, r Round, shards []Shard, stats *RoundStats) (int, error) {
 	ft := c.ft
-	round := len(c.stats) // absolute round index, matches plan indexing
-
-	shards, err := c.routePhase(r, 1)
-	if err != nil {
-		return RoundStats{}, err
+	if ft == nil {
+		return 0, nil
 	}
-
-	stats := RoundStats{Name: r.Name}
-
-	// Byzantine routing events fire first: the scheduled corruption is
-	// applied to the per-source shards, detected (receiver-side
-	// legality + re-execution audit), and either quarantined — the
-	// audited honest shard replaces the lie, so everything downstream
-	// sees exactly the fault-free shards — or, for a persistent
-	// compromise, fails the round with a typed RoutingIntegrityError
-	// before any state mutates. See byzantine.go.
 	commEnd := 1
 	if !ft.byz.Empty() {
-		byzEnd, err := c.applyByzantine(round, r, shards, &stats)
+		byzEnd, err := c.applyByzantine(round, r, shards, stats)
 		if err != nil {
-			return RoundStats{}, err
+			return 0, err
 		}
-		if byzEnd > commEnd {
-			commEnd = byzEnd
-		}
+		commEnd = max(commEnd, byzEnd)
 	}
-	if c.verifyEvery > 0 {
-		// Sampled receiver-side verification also guards this path (at
-		// chunk 1 every shard covers exactly one source).
-		if err := c.verifyShards(r, shards, 1); err != nil {
-			return RoundStats{}, err
-		}
+	if ft.plan.Empty() {
+		return commEnd, nil
 	}
-
-	// Delivery simulation: drops delay a transfer (retransmissions
-	// cost ReplicaComm and virtual time), dups add wire traffic the
-	// idempotent merge discards, corrupted transfers behave like drops
-	// (the receiver detects the damage and discards the frame; a clean
-	// retransmission follows). Only src ≠ dst links that actually
-	// carry facts are fault sites — self-delivery, including Keep
-	// facts, never traverses the network. The communication phase
-	// ends when the slowest transfer lands.
 	for _, lk := range carryingLinks(shards) {
 		n := shards[lk.src].Sent[lk.dst]
 		if d := ft.plan.drops(round, lk.src, lk.dst); d > 0 {
 			if d > ft.retryBudget {
-				return RoundStats{}, fmt.Errorf(
+				return 0, fmt.Errorf(
 					"mpc: transfer %d→%d in round %q (round %d) dropped %d times, exceeding the retry budget %d",
 					lk.src, lk.dst, r.Name, round, d, ft.retryBudget)
 			}
 			stats.Retries += d
 			stats.ReplicaComm += d * n
-			if t := retryCompletion(d, 1); t > commEnd {
-				commEnd = t
-			}
+			commEnd = max(commEnd, retryCompletion(d, 1))
 		}
 		if k := ft.plan.corrupts(round, lk.src, lk.dst); k > 0 {
 			if k > ft.retryBudget {
-				return RoundStats{}, fmt.Errorf(
+				return 0, fmt.Errorf(
 					"mpc: transfer %d→%d in round %q (round %d) corrupted %d times, exceeding the retry budget %d",
 					lk.src, lk.dst, r.Name, round, k, ft.retryBudget)
 			}
 			stats.Retries += k
 			stats.ReplicaComm += k * n
-			if t := retryCompletion(k, 1); t > commEnd {
-				commEnd = t
-			}
+			commEnd = max(commEnd, retryCompletion(k, 1))
 		}
 		if k := ft.plan.dups(round, lk.src, lk.dst); k > 0 {
 			stats.ReplicaComm += k * n
 		}
 	}
-
-	// The merge is identical to the fault-free path — same shards,
-	// same (dst, src) order — so the logical inboxes and load
-	// accounting are byte-identical by construction. A transport that
-	// can realize the plan's drops/dups physically at the frame layer
-	// is armed first, so the wire absorbs the same havoc the virtual
-	// clock just charged.
-	tr := c.Transport()
-	if fi, ok := tr.(FrameFaultInjector); ok {
+	if fi, ok := c.Transport().(FrameFaultInjector); ok {
 		fi.InjectFrameFaults(round, ft.plan)
 	}
-	inboxes, received, err := tr.Exchange(r.Name, c.p, shards)
-	if err != nil {
-		return RoundStats{}, err
-	}
-	stats.Received = received
-	stats.DeltaComm = deltaSent(shards)
-	for _, n := range received {
-		stats.TotalComm += n
-		if n > stats.MaxLoad {
-			stats.MaxLoad = n
-		}
-	}
+	return commEnd, nil
+}
 
-	// Residents join the round input before the checkpoint is cut, so
-	// a recovered or speculative re-execution reloads the same (full,
-	// Δ) view the primary computed on. The reload is a StableStore
-	// clone, so repairs never alias the live resident state.
-	if err := c.adoptResidents(r, r.sets(), inboxes); err != nil {
-		return RoundStats{}, err
+// planRecovery is RunRound's plan-recovery stage, run after residents
+// joined the round inputs and before any computation. It charges
+// WithReplication's peer copies of the inputs, then plans each
+// server's computation on the virtual clock. A fault-free computation
+// costs 1 tick; a straggler costs 1+δ. A crash discards the attempt
+// and re-executes from the round input with exponential backoff
+// (retryCompletion); past the budget the round fails
+// deterministically. A straggler past the speculation threshold gets a
+// backup copy launched at the threshold, which wins iff it strictly
+// beats the primary — ties keep the primary, the "first deterministic
+// winner". Either repair recomputes the same pure function on the same
+// input, so which copy wins is unobservable in the output.
+//
+// It returns the computation inputs. A re-executed or speculatively
+// finished partition computes on a copy of its inbox taken here,
+// before any Compute can mutate the original — the round-input
+// checkpoint the repair reloads; every other partition computes on its
+// inbox in place. Without fault-tolerance Options this stage does
+// nothing and returns the inboxes.
+func (c *Cluster) planRecovery(round int, r Round, inboxes []*rel.Instance, commEnd int, stats *RoundStats) ([]*rel.Instance, error) {
+	ft := c.ft
+	if ft == nil {
+		return inboxes, nil
 	}
-
-	// Checkpoint every server's merged round input before any
-	// computation runs: this is what recovery re-executes from.
-	// StableStore snapshots at construction, so a Compute that
-	// mutates its input cannot corrupt recovery. Optional peer
-	// replication is charged per replica at the checkpoint's deduped
-	// size.
-	ckpt := policy.NewStableStore(inboxes)
-	stats.ReplicaComm += ft.replicas * ckpt.TotalFacts()
-
-	// Plan the computation phase per server on the virtual clock. A
-	// fault-free computation costs 1 tick; a straggler costs 1+δ. A
-	// crash discards the attempt and re-executes from the checkpoint
-	// with exponential backoff (retryCompletion); past the budget the
-	// round fails deterministically. A straggler past the speculation
-	// threshold gets a backup copy launched at the threshold, which
-	// wins iff it strictly beats the primary — ties keep the primary,
-	// the "first deterministic winner". Either repair recomputes the
-	// same pure function on the same checkpointed input, so which copy
-	// wins is unobservable in the output.
-	inputs := make([]*rel.Instance, c.p)
 	computeEnd := 0
-	for s := 0; s < c.p; s++ {
+	for s, inbox := range inboxes {
+		size := inbox.Len()
+		stats.ReplicaComm += ft.replicas * size
 		cost := 1 + ft.plan.straggles(round, s)
 		crashes := ft.plan.crashes(round, s)
 		end := cost
-		input := inboxes[s]
 		switch {
 		case crashes > ft.retryBudget:
-			return RoundStats{}, fmt.Errorf(
+			return nil, fmt.Errorf(
 				"mpc: server %d crashed %d times in round %q (round %d), exceeding the retry budget %d",
 				s, crashes, r.Name, round, ft.retryBudget)
 		case crashes > 0:
 			end = retryCompletion(crashes, cost)
 			stats.Retries += crashes
 			stats.RecoveredServers++
-			// Each re-execution refetches the server's checkpointed
-			// input from the store.
-			stats.ReplicaComm += crashes * inboxes[s].Len()
-			input = ckpt.Reload(policy.Node(s))
-		default:
-			if ft.speculateAfter > 0 && end > ft.speculateAfter {
-				// Speculative copy: launched at the threshold, costs
-				// one fault-free tick, and refetches the checkpoint.
-				spec := ft.speculateAfter + 1
-				stats.ReplicaComm += inboxes[s].Len()
-				if spec < end {
-					stats.SpeculativeWins++
-					end = spec
-					input = ckpt.Reload(policy.Node(s))
-				}
+			// Each re-execution refetches the server's round input.
+			stats.ReplicaComm += crashes * size
+			inboxes[s] = inbox.Clone()
+		case ft.speculateAfter > 0 && end > ft.speculateAfter:
+			// Speculative copy: launched at the threshold, costs one
+			// fault-free tick, and refetches the round input.
+			spec := ft.speculateAfter + 1
+			stats.ReplicaComm += size
+			if spec < end {
+				stats.SpeculativeWins++
+				end = spec
+				inboxes[s] = inbox.Clone()
 			}
 		}
-		if end > computeEnd {
-			computeEnd = end
-		}
-		inputs[s] = input
+		computeEnd = max(computeEnd, end)
 	}
 	stats.VirtualMakespan = commEnd + computeEnd
-
-	next, err := c.computePhase(r, inputs)
-	if err != nil {
-		return RoundStats{}, err
-	}
-	c.commit(next, stats)
-	return stats, nil
+	return inboxes, nil
 }
 
 // Checkpoint is a durable snapshot of a cluster after its last
@@ -362,8 +306,10 @@ func (ck *Checkpoint) Rounds() int { return len(ck.stats) }
 
 // Checkpoint returns the cluster's snapshot after its last completed
 // round, or a snapshot of the initial load if no round has run yet.
-// It returns nil when the fault-tolerant path is disabled — the
-// zero-overhead path takes no checkpoints.
+// The snapshot is the one commit cut eagerly, so state loaded after
+// the last commit (ApplyUpdate's Δ facts before a failed round) is
+// not in it. It returns nil unless checkpoints are enabled
+// (WithCheckpoints or any other fault-tolerance Option).
 func (c *Cluster) Checkpoint() *Checkpoint {
 	if c.ft == nil {
 		return nil
@@ -378,17 +324,15 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 		ck.store, ck.stats = policy.NewStableStore(c.servers), cloneStats(c.stats)
 		return ck
 	}
-	ck.store, ck.stats = c.ft.ckpt, cloneStats(c.ftStatsRef())
+	ck.store, ck.stats = c.ft.ckpt, cloneStats(c.ft.ckptStats)
 	return ck
 }
-
-func (c *Cluster) ftStatsRef() []RoundStats { return c.ft.ckptStats }
 
 // Restore builds a fresh cluster from a checkpoint: same server
 // count, each server holding its checkpointed instance, stats history
 // intact so RunResumable skips the completed prefix. Options apply as
-// in NewCluster; the restored cluster is always fault-tolerant (it
-// must keep checkpointing to stay restorable), with a fresh default
+// in NewCluster; the restored cluster always has checkpoints enabled
+// (it must keep checkpointing to stay restorable), with a fresh default
 // configuration unless options say otherwise — in particular the old
 // fault plan is NOT carried over.
 func Restore(ck *Checkpoint, opts ...Option) *Cluster {
@@ -408,7 +352,7 @@ func Restore(ck *Checkpoint, opts ...Option) *Cluster {
 // cluster mutation (see Checkpoint), so handing it out is safe.
 func (ck *Checkpoint) Store() *policy.StableStore { return ck.store }
 
-// RestoreStore builds a fresh fault-tolerant cluster from a bare
+// RestoreStore builds a fresh checkpointed cluster from a bare
 // fragment store — the re-entry point for checkpoint images reloaded
 // from disk (policy.DecodeStore), where the round-stats history lives
 // with the caller rather than inside the image. The restored cluster

@@ -310,16 +310,11 @@ func (t *TCPTransport) collect(dst int, seq uint64, nshards int) (*rel.Instance,
 		sent[f.Shard] = int(f.Sent)
 		have++
 	}
-	inbox := rel.NewInstance()
 	n := 0
-	for w := 0; w < nshards; w++ {
-		n += sent[w]
-		for _, name := range frags[w].RelationNames() {
-			o := frags[w].Relation(name)
-			inbox.EnsureRelationSize(name, o.Arity, o.Len()).UnionWith(o)
-		}
+	for _, k := range sent {
+		n += k
 	}
-	return inbox, n, nil
+	return MergeFragments(frags), n, nil
 }
 
 // sendShard ships shard w's outboxes: one frame per destination,
@@ -346,8 +341,9 @@ func (t *TCPTransport) sendShard(w int, seq uint64, sh Shard, havocRound int, ha
 		}
 		drops, dups, corrupts := 0, 0, 0
 		// Physical faults hit only real network links that carry facts,
-		// mirroring the virtual clock's accounting in recovery.go (the
-		// FT path routes one shard per source, so w is the source).
+		// mirroring the virtual clock's accounting in recovery.go (a
+		// cluster with a fault plan routes one shard per source, so w
+		// is the source).
 		if havocPlan != nil && w != dst && sh.Sent[dst] > 0 {
 			drops = havocPlan.drops(havocRound, w, dst)
 			dups = havocPlan.dups(havocRound, w, dst)

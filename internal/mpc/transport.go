@@ -45,18 +45,18 @@ type Transport interface {
 	Close() error
 }
 
-// FrameFaultInjector is the optional transport extension the
-// fault-tolerance layer uses to realize a FaultPlan's drop,
-// duplication, and corruption schedule PHYSICALLY at the frame layer:
-// a drop becomes an aborted connection (a truncated frame or an RST)
-// followed by a retransmission, a dup an extra identical frame the
-// receiver's idempotent merge discards, a corruption a bit-flipped
-// frame the receiver's checksum rejects before a clean retransmission.
-// The fault-tolerant path routes one shard per source (chunk 1), so
-// the (shard, dst) frame coordinates coincide with the plan's
-// (src, dst) links. Logical accounting of the same faults stays in
-// recovery.go on the virtual clock; the injection only proves the
-// wire path really absorbs the havoc.
+// FrameFaultInjector is the optional transport extension RunRound's
+// inject-faults stage uses to realize a FaultPlan's drop, duplication,
+// and corruption schedule PHYSICALLY at the frame layer: a drop
+// becomes an aborted connection (a truncated frame or an RST) followed
+// by a retransmission, a dup an extra identical frame the receiver's
+// idempotent merge discards, a corruption a bit-flipped frame the
+// receiver's checksum rejects before a clean retransmission. A cluster
+// with a fault plan installed routes one shard per source, so the
+// (shard, dst) frame coordinates coincide with the plan's (src, dst)
+// links. Logical accounting of the same faults stays in recovery.go on
+// the virtual clock; the injection only proves the wire path really
+// absorbs the havoc.
 type FrameFaultInjector interface {
 	// InjectFrameFaults arms the transport's next Exchange with the
 	// plan's drops/dups/corruptions for absolute round index round.
@@ -99,16 +99,18 @@ func (localTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Inst
 func (localTransport) Close() error { return nil }
 
 // mergeShards merges shards into per-destination inboxes, one goroutine
-// per destination, each visiting shards in ascending order. Every
-// worker writes only its own index of inboxes/received/mergeErrs, and
-// the (dst, shard) merge order is fixed, so the resulting inboxes and
-// load accounting are byte-identical to a sequential merge. This is
-// both the Local transport's Exchange and the reference merge every
-// other transport must reproduce.
+// per destination, each merging its fragments with MergeFragments.
+// Every worker writes only its own index of inboxes/received/mergeErrs,
+// so the resulting inboxes and load accounting are byte-identical to a
+// sequential merge. This is the Local transport's Exchange.
 func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, error) {
 	inboxes := make([]*rel.Instance, p)
 	received := make([]int, p)
 	mergeErrs := make([]error, p)
+	// One backing array holds every destination's fragment list, so the
+	// merge allocates once per round rather than once per destination.
+	w := len(shards)
+	frags := make([]*rel.Instance, p*w)
 	var mergeWG sync.WaitGroup
 	for dst := 0; dst < p; dst++ {
 		mergeWG.Add(1)
@@ -119,30 +121,7 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 					mergeErrs[dst] = fmt.Errorf("mpc: server %d inbox merge panicked in round %q: %v", dst, round, rec)
 				}
 			}()
-			var inbox *rel.Instance
-			n := 0
-			for w := range shards {
-				n += shards[w].Sent[dst]
-				out := shards[w].Outs[dst]
-				if out == nil {
-					continue
-				}
-				if inbox == nil {
-					// Shards are round-private: adopt the first outbox
-					// instead of copying it.
-					inbox = out
-					continue
-				}
-				for _, name := range out.RelationNames() {
-					o := out.Relation(name)
-					inbox.EnsureRelationSize(name, o.Arity, o.Len()).UnionWith(o)
-				}
-			}
-			if inbox == nil {
-				inbox = rel.NewInstance()
-			}
-			inboxes[dst] = inbox
-			received[dst] = n
+			inboxes[dst], received[dst] = mergeDst(shards, dst, frags[dst*w:(dst+1)*w])
 		}(dst)
 	}
 	mergeWG.Wait()
@@ -152,6 +131,43 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 		}
 	}
 	return inboxes, received, nil
+}
+
+// mergeDst merges every shard's outbox for dst, collected in frags
+// (one slot per shard), and sums their logical counts.
+func mergeDst(shards []Shard, dst int, frags []*rel.Instance) (*rel.Instance, int) {
+	n := 0
+	for w := range shards {
+		n += shards[w].Sent[dst]
+		frags[w] = shards[w].Outs[dst]
+	}
+	return MergeFragments(frags), n
+}
+
+// MergeFragments merges one destination's incoming fragments into its
+// round inbox in ascending fragment order — position, never arrival
+// order — the merge every transport must reproduce. Fragments are
+// round-private, so the first non-nil one is adopted instead of
+// copied; nil fragments contribute nothing, and an all-nil list yields
+// an empty inbox.
+func MergeFragments(frags []*rel.Instance) *rel.Instance {
+	var inbox *rel.Instance
+	for _, frag := range frags {
+		switch {
+		case frag == nil:
+		case inbox == nil:
+			inbox = frag
+		default:
+			for _, name := range frag.RelationNames() {
+				o := frag.Relation(name)
+				inbox.EnsureRelationSize(name, o.Arity, o.Len()).UnionWith(o)
+			}
+		}
+	}
+	if inbox == nil {
+		inbox = rel.NewInstance()
+	}
+	return inbox
 }
 
 // RouteSource runs one source server's communication phase standalone:

@@ -185,6 +185,9 @@ func (s *Server) restoreSession(dir string, sm sessionManifest) (*Session, error
 	if !sessionIDPat.MatchString(sm.ID) {
 		return nil, fmt.Errorf("mpcd: snapshot session id %q is invalid", sm.ID)
 	}
+	if sm.P < 1 || sm.P > maxSessionP {
+		return nil, fmt.Errorf("mpcd: snapshot session %s has p = %d outside [1, %d]", sm.ID, sm.P, maxSessionP)
+	}
 	// filepath.Base forecloses traversal via a hand-edited manifest.
 	raw, err := os.ReadFile(filepath.Join(dir, filepath.Base(sm.Store)))
 	if err != nil {

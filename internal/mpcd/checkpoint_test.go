@@ -1,12 +1,18 @@
 package mpcd
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"mpclogic/internal/policy"
+	"mpclogic/internal/rel"
 )
 
 // seedSessions primes a server with two sessions and a warm anchor in
@@ -177,5 +183,31 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(dir3, Config{}); err == nil {
 		t.Fatal("LoadSnapshot followed a traversal store path")
+	}
+
+	// A cluster size outside [1, maxSessionP] next to a store image of
+	// exactly that many nodes: the image and the node-count check both
+	// pass, so the manifest's p itself must be rejected, as an error
+	// rather than a panic building the cluster.
+	for _, p := range []int{0, maxSessionP + 1} {
+		dir := t.TempDir()
+		parts := make([]*rel.Instance, p)
+		for i := range parts {
+			parts[i] = rel.NewInstance()
+		}
+		var img bytes.Buffer
+		if err := policy.EncodeStore(&img, policy.NewStableStore(parts)); err != nil {
+			t.Fatalf("encode %d-node store: %v", p, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "s.store"), img.Bytes(), 0o644); err != nil {
+			t.Fatalf("write store: %v", err)
+		}
+		m := fmt.Sprintf(`{"version": 1, "seed": 1, "sessions": [{"id": "x", "p": %d, "store": "s.store"}]}`, p)
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(m), 0o644); err != nil {
+			t.Fatalf("write manifest: %v", err)
+		}
+		if _, err := LoadSnapshot(dir, Config{}); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("LoadSnapshot with p = %d: %v, want an out-of-range error", p, err)
+		}
 	}
 }

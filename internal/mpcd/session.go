@@ -52,6 +52,10 @@ const (
 // filenames, so path metacharacters are out.
 var sessionIDPat = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 
+// maxSessionP caps a session's cluster size, for created sessions and
+// for sessions restored from a snapshot manifest alike.
+const maxSessionP = 1 << 12
+
 // Generator size cap: a create request is a few hundred bytes, so the
 // generated instance is the one thing a tiny request can make huge.
 const maxGenSize = 1 << 22
@@ -73,8 +77,8 @@ func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 	if p <= 0 {
 		p = s.cfg.P
 	}
-	if p > 1<<12 {
-		return createResponse{}, errBadRequest("p = %d exceeds the per-session cluster cap %d", p, 1<<12)
+	if p > maxSessionP {
+		return createResponse{}, errBadRequest("p = %d exceeds the per-session cluster cap %d", p, maxSessionP)
 	}
 	budget := req.Budget
 	if budget <= 0 {

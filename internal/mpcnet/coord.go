@@ -340,16 +340,13 @@ func assemble(built *Built, results map[int]workerResult) (*RunResult, error) {
 	}
 	trace := make([]byte, 0, nRounds*64)
 	for r := 0; r < nRounds; r++ {
-		stats := mpc.RoundStats{Name: built.Rounds[r].Name, Received: make([]int, p)}
+		received, deltaComm := make([]int, p), 0
 		for i := 0; i < p; i++ {
-			n := results[i].received[r]
-			stats.Received[i] = n
-			stats.TotalComm += n
-			if n > stats.MaxLoad {
-				stats.MaxLoad = n
-			}
-			stats.DeltaComm += results[i].deltaSent[r]
+			received[i] = results[i].received[r]
+			deltaComm += results[i].deltaSent[r]
 		}
+		stats := mpc.RoundStats{Name: built.Rounds[r].Name}
+		stats.FoldLoad(received, deltaComm)
 		trace = append(trace, stats.LogicalString()...)
 		trace = append(trace, '\n')
 		res.TotalComm += stats.TotalComm

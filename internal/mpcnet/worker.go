@@ -224,10 +224,10 @@ func RunWorker(cfg WorkerConfig) error {
 		if err != nil {
 			return err
 		}
-		if err := adoptResident(round, cfg.Index, local, inbox); err != nil {
+		if err := mpc.AdoptResidents(round, cfg.Index, local, inbox); err != nil {
 			return err
 		}
-		next, err := computeOne(round, cfg.Index, inbox)
+		next, err := mpc.ComputeServer(round, cfg.Index, inbox)
 		if err != nil {
 			return err
 		}
@@ -256,12 +256,12 @@ func RunWorker(cfg WorkerConfig) error {
 }
 
 // pullRound assembles this worker's round-r inbox: one fragment per
-// peer, own fragment taken from the local publication, merged in
-// ascending shard order exactly like the in-process transports. The
-// received count sums the frames' Sent fields — logical accounting,
-// identical to the simulator's.
+// peer, own fragment taken from the local publication, merged by
+// mpc.MergeFragments in ascending shard order exactly like the
+// in-process transports. The received count sums the frames' Sent
+// fields — logical accounting, identical to the simulator's.
 func pullRound(coordAddr string, p, index, r int, own mpc.Frame) (*rel.Instance, int, error) {
-	inbox := rel.NewInstance()
+	frags := make([]*rel.Instance, p)
 	n := 0
 	for w := 0; w < p; w++ {
 		f := own
@@ -277,44 +277,7 @@ func pullRound(coordAddr string, p, index, r int, own mpc.Frame) (*rel.Instance,
 			return nil, 0, fmt.Errorf("mpcnet: worker %d decoding round %d fragment from %d: %w", index, r, w, err)
 		}
 		n += int(f.Sent)
-		for _, name := range inst.RelationNames() {
-			o := inst.Relation(name)
-			inbox.EnsureRelationSize(name, o.Arity, o.Len()).UnionWith(o)
-		}
+		frags[w] = inst
 	}
-	return inbox, n, nil
-}
-
-// adoptResident is the per-server projection of the simulator's
-// resident adoption: resident relations ride into the round input by
-// reference, and routing facts into one is a deterministic error.
-func adoptResident(round mpc.Round, index int, local, inbox *rel.Instance) error {
-	for _, name := range round.Resident {
-		if in := inbox.Relation(name); in != nil && in.Len() > 0 {
-			return fmt.Errorf("mpc: round %q routed facts into resident relation %q on server %d", round.Name, name, index)
-		}
-		if rl := local.Relation(name); rl != nil {
-			inbox.SetRelation(rl)
-		}
-	}
-	return nil
-}
-
-// computeOne runs one server's computation phase with the simulator's
-// exact semantics: nil Compute is identity, a nil result is an empty
-// instance, and a panic surfaces as the simulator's error string.
-func computeOne(round mpc.Round, index int, input *rel.Instance) (out *rel.Instance, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("mpc: server %d compute phase panicked in round %q: %v", index, round.Name, rec)
-		}
-	}()
-	if round.Compute == nil {
-		return input, nil
-	}
-	out = round.Compute(index, input)
-	if out == nil {
-		out = rel.NewInstance()
-	}
-	return out, nil
+	return mpc.MergeFragments(frags), n, nil
 }
