@@ -95,11 +95,13 @@ byzantine:
 # transport pins the PR-8 transport-equivalence gate by name: the
 # conformance suite on both the Local and TCP transports, the program
 # matrix over real sockets (byte-identical output, state, and logical
-# trace), the chaos-over-TCP fault matrix, the multi-process runtime
+# trace), the chaos-over-TCP fault matrix, the static rounds lowered
+# from each delta program (mpc.Unroll) against RunDelta, the
+# multi-process runtime
 # against the simulator, and the kill-recovery e2e on the real binary.
 transport:
 	$(GO) test -run 'TestLocalConformance|TestTCPConformance' ./internal/mpc/transportconf
-	$(GO) test -run 'TestTransportEquivalence|TestChaosOverTCP' ./internal/gym
+	$(GO) test -run 'TestTransportEquivalence|TestChaosOverTCP|TestUnrollMatchesRunDelta' ./internal/gym
 	$(GO) test -run 'TestDistributedMatchesLocal' ./internal/mpcnet
 	$(GO) test -run 'TestE2E' ./cmd/mpcrun
 
@@ -136,6 +138,8 @@ fuzz:
 	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzStoreImage$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzSweepMerge$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzQueryRequest$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/datalog -run='^$$' -fuzz='^FuzzParseDatalog$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzWorkerCheckpoint$$' -fuzztime=$(FUZZTIME)
 
 # serve is the query-daemon gate: the serving-layer unit/property
 # suites plus the e2e suite that forks the real mpcd binary (start,

@@ -62,7 +62,7 @@ func TestE2ETransportEquivalence(t *testing.T) {
 			if got != want {
 				t.Errorf("tcp report diverged from local:\n got:\n%s\nwant:\n%s", got, want)
 			}
-			if !strings.Contains(want, "round tc-step-1:") {
+			if !strings.Contains(want, "round ΔTC step 1:") {
 				t.Errorf("program was not multi-round:\n%s", want)
 			}
 		})

@@ -41,10 +41,33 @@ func addJoin(h *rel.Relation, l, r *rel.Relation, lCols, rCols, proj []int) {
 	if l == nil || r == nil || l.Len() == 0 || r.Len() == 0 {
 		return
 	}
+	buf := make(rel.Tuple, len(proj)) // Add copies, so one buffer serves every row
 	rel.HashJoin("⋈", l, r, lCols, rCols).Each(func(t rel.Tuple) bool {
-		h.Add(t.Project(proj))
+		for i, c := range proj {
+			buf[i] = t[c]
+		}
+		h.Add(buf)
 		return true
 	})
+}
+
+// addDeltaJoin folds the semi-naive delta of a join,
+// newL ⋈ r ∪ l ⋈ newR, into h, where the residents l and r already
+// hold their new facts. When a side is all new (its first fold), its
+// term alone is the whole join, so one join runs; otherwise both
+// residents are indexed first, so each term probes at O(|Δ|).
+func addDeltaJoin(h, newL, l, newR, r *rel.Relation, lCols, rCols, proj []int) {
+	if l == nil || r == nil {
+		return
+	}
+	if newL.Len() == l.Len() || newR.Len() == r.Len() {
+		addJoin(h, l, r, lCols, rCols, proj)
+		return
+	}
+	l.IndexOn(lCols...)
+	r.IndexOn(rCols...)
+	addJoin(h, newL, r, lCols, rCols, proj)
+	addJoin(h, l, newR, lCols, rCols, proj)
 }
 
 // DeltaTCProgram maintains TC = the transitive closure of edge
@@ -151,10 +174,7 @@ func DeltaJoinProgram(p int, seed uint64) mpc.DeltaProgram {
 						return local
 					}
 					h := local.EnsureRelation("H", 3)
-					indexOn(local.Relation("S"), 0)
-					indexOn(local.Relation("R"), 1)
-					addJoin(h, newR, local.Relation("S"), []int{1}, []int{0}, []int{0, 1, 3})
-					addJoin(h, local.Relation("R"), newS, []int{1}, []int{0}, []int{0, 1, 3})
+					addDeltaJoin(h, newR, local.Relation("R"), newS, local.Relation("S"), []int{1}, []int{0}, []int{0, 1, 3})
 					return local
 				},
 			}}
@@ -163,49 +183,46 @@ func DeltaJoinProgram(p int, seed uint64) mpc.DeltaProgram {
 }
 
 // DeltaCascadeTriangleProgram maintains the triangle view
-// H(x,y,z) :- R(x,y), S(y,z), T(z,x) under insertions, as the
-// incremental form of the two-round cascade (CascadeTriangleProgram):
-// the intermediate K = R ⋈ S is itself a maintained resident view, so
-// an update ships two delta hops — ΔK out of the (R,S) side, then ΔH
-// out of the (K,T) side — instead of re-deriving K wholesale.
+// H(x,y,z) :- R(x,y), S(y,z), T(z,x) under insertions with the
+// two-round cascade (CascadeTriangle runs its batch 0): the
+// intermediate K = R ⋈ S is itself a maintained resident view, so an
+// update ships two delta hops — ΔK out of the (R,S) side, then ΔH out
+// of the (K,T) side — instead of re-deriving K wholesale.
 //
 // Placement: R and S at h(y); K(x,y,z) and T(z,x) at h2(x,z), which
 // co-locates the second join. Round b.1 folds ΔR/ΔS and derives
-// ΔK = newR ⋈ S ∪ R ⋈ newS; ΔT is routed straight to its h2 home and
-// held (as a zero-copy resident) for round b.2, which folds ΔT and ΔK
-// and derives ΔH = newK ⋈ T ∪ K ⋈ newT into the resident output.
+// ΔK = newR ⋈ S ∪ R ⋈ newS while ΔT waits where it was loaded; round
+// b.2 ships ΔK and ΔT to their h2 homes, folds both, and derives
+// ΔH = newK ⋈ T ∪ K ⋈ newT into the resident output.
 func DeltaCascadeTriangleProgram(p int, seed uint64) mpc.DeltaProgram {
 	dR, dS, dT := mpc.DeltaName("R"), mpc.DeltaName("S"), mpc.DeltaName("T")
 	seed2 := seed ^ 0x5bd1e995
 	route1 := mpc.ByRelation(map[string]mpc.Router{
 		dR: mpc.HashOn(p, []int{1}, seed),
 		dS: mpc.HashOn(p, []int{0}, seed),
-		dT: mpc.HashOn(p, []int{1, 0}, seed2), // T(z,x) keyed (x, z)
 	})
 	route2 := mpc.ByRelation(map[string]mpc.Router{
 		"ΔK": mpc.HashOn(p, []int{0, 2}, seed2), // K(x,y,z) keyed (x, z)
+		dT:   mpc.HashOn(p, []int{1, 0}, seed2), // T(z,x) keyed (x, z)
 	})
+	residents := []string{"R", "S", "K", "T", "H"}
 	return mpc.DeltaProgram{
 		Name: "Δcascade",
 		Inject: func(batch int) []mpc.Round {
 			round1 := mpc.Round{
 				Name:      fmt.Sprintf("Δcascade %d.1 ΔR⋈S", batch),
-				Resident:  []string{"R", "S", "K", "T", "H"},
+				Resident:  residents,
 				DeltaRels: []string{dR, dS, dT},
+				Keep:      func(f rel.Fact) bool { return f.Rel == dT },
 				Route:     route1,
 				Compute: func(_ int, local *rel.Instance) *rel.Instance {
 					newR := local.FoldDelta(dR, "R", 2)
 					newS := local.FoldDelta(dS, "S", 2)
-					// ΔT stays in the inbox untouched: it is already at
-					// its h2 home and round 2 folds it.
 					if newR.Len() == 0 && newS.Len() == 0 {
 						return local
 					}
 					dk := rel.NewRelation("ΔK", 3)
-					indexOn(local.Relation("S"), 0)
-					indexOn(local.Relation("R"), 1)
-					addJoin(dk, newR, local.Relation("S"), []int{1}, []int{0}, []int{0, 1, 3})
-					addJoin(dk, local.Relation("R"), newS, []int{1}, []int{0}, []int{0, 1, 3})
+					addDeltaJoin(dk, newR, local.Relation("R"), newS, local.Relation("S"), []int{1}, []int{0}, []int{0, 1, 3})
 					if dk.Len() > 0 {
 						local.SetRelation(dk)
 					}
@@ -214,8 +231,8 @@ func DeltaCascadeTriangleProgram(p int, seed uint64) mpc.DeltaProgram {
 			}
 			round2 := mpc.Round{
 				Name:      fmt.Sprintf("Δcascade %d.2 ΔK⋈T", batch),
-				Resident:  []string{"R", "S", "K", "T", "H", dT},
-				DeltaRels: []string{"ΔK"},
+				Resident:  residents,
+				DeltaRels: []string{"ΔK", dT},
 				Route:     route2,
 				Compute: func(_ int, local *rel.Instance) *rel.Instance {
 					newT := local.FoldDelta(dT, "T", 2)
@@ -225,10 +242,7 @@ func DeltaCascadeTriangleProgram(p int, seed uint64) mpc.DeltaProgram {
 					}
 					h := local.EnsureRelation("H", 3)
 					// Match K(x,y,z) with T(z,x) on (z, x).
-					indexOn(local.Relation("T"), 0, 1)
-					indexOn(local.Relation("K"), 2, 0)
-					addJoin(h, newK, local.Relation("T"), []int{2, 0}, []int{0, 1}, []int{0, 1, 2})
-					addJoin(h, local.Relation("K"), newT, []int{2, 0}, []int{0, 1}, []int{0, 1, 2})
+					addDeltaJoin(h, newK, local.Relation("K"), newT, local.Relation("T"), []int{2, 0}, []int{0, 1}, []int{0, 1, 2})
 					return local
 				},
 			}
@@ -245,11 +259,13 @@ func DeltaCascadeTriangle(p int, base *rel.Instance, seed uint64, opts ...mpc.Op
 }
 
 // DeltaSkewTriangleProgram maintains the triangle view under
-// insertions with the heavy-hitter discipline of SkewTriangleProgram:
-// light y-values live in HyperCube grid cells and are finished by
-// local evaluation; for heavy y-values the residual acyclic query is
-// processed by two semijoin-shaped hops (W = heavy-R ⋈ T at h(a),
-// then H += W ⋈ heavy-S at h(c)).
+// insertions with the heavy-hitter discipline of SkewTriangleTwoRound
+// (which runs its batch 0): light y-values live in HyperCube grid
+// cells and are finished by local evaluation; for heavy y-values the
+// residual acyclic query is processed by two semijoin-shaped hops
+// (W = heavy-R ⋈ T at h(a), then H += W ⋈ heavy-S at h(c)). Heavy ΔS
+// waits where it was loaded in round 1 and travels to h(c) in round 2
+// beside ΔW.
 //
 // Every role shares one resident relation per name: a server's R holds
 // whatever grid copies and heavy hash copies land there. Extra copies
@@ -278,6 +294,7 @@ func DeltaSkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.R
 	gridAs := func(name string, f rel.Fact) []int {
 		return grid.Route(rel.Fact{Rel: name, Tuple: f.Tuple})
 	}
+	isHeavyS := func(t rel.Tuple) bool { return heavy.Contains(t[0]) }
 
 	route1 := mpc.RouterFunc(func(f rel.Fact) []int {
 		switch f.Rel {
@@ -287,17 +304,14 @@ func DeltaSkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.R
 			}
 			return gridAs("R", f)
 		case dS:
-			if heavy.Contains(f.Tuple[0]) {
-				return hashSC.Route(f) // straight to its round-2 home
-			}
-			return gridAs("S", f)
+			return gridAs("S", f) // light only; heavy ΔS is kept
 		case dT:
 			// T serves both the light grid and the heavy path.
 			return append(gridAs("T", f), hashA.Route(f)...)
 		}
 		return nil
 	})
-	route2 := mpc.ByRelation(map[string]mpc.Router{"ΔW": hashC})
+	route2 := mpc.ByRelation(map[string]mpc.Router{"ΔW": hashC, dS: hashSC})
 
 	residents := []string{"R", "S", "T", "W", "H"}
 	isHeavyY := func(t rel.Tuple) bool { return heavy.Contains(t[1]) }
@@ -309,22 +323,21 @@ func DeltaSkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.R
 				Name:      fmt.Sprintf("Δskew %d.1 grid + ΔW", batch),
 				Resident:  residents,
 				DeltaRels: []string{dR, dS, dT},
+				Keep:      func(f rel.Fact) bool { return f.Rel == dS && isHeavyS(f.Tuple) },
 				Route:     route1,
 				Compute: func(_ int, local *rel.Instance) *rel.Instance {
 					newR := local.FoldDelta(dR, "R", 2)
 					newT := local.FoldDelta(dT, "T", 2)
 
-					// Split ΔS: light facts fold into the resident grid
-					// copies now; heavy facts wait (zero-copy) for round 2.
+					// Split ΔS: light facts arrived through the grid and
+					// fold now; heavy facts were kept for round 2.
 					var newSLight *rel.Relation
 					if ds := local.RemoveRelation(dS); ds != nil && ds.Len() > 0 {
-						light := rel.Select(ds, func(t rel.Tuple) bool { return !heavy.Contains(t[0]) })
-						hw := rel.Select(ds, func(t rel.Tuple) bool { return heavy.Contains(t[0]) })
+						light := rel.Select(ds, func(t rel.Tuple) bool { return !isHeavyS(t) })
 						if light.Len() > 0 {
 							newSLight = local.EnsureRelationSize("S", 2, light.Len()).AbsorbNew(light, dS)
 						}
-						if hw.Len() > 0 {
-							hw.Name = "ΔSh"
+						if hw := rel.Select(ds, isHeavyS); hw.Len() > 0 {
 							local.SetRelation(hw)
 						}
 					}
@@ -349,9 +362,7 @@ func DeltaSkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.R
 					}
 					if heavyNewR.Len() > 0 || (heavyR != nil && heavyR.Len() > 0 && newT.Len() > 0) {
 						w := rel.NewRelation("ΔW", 3)
-						indexOn(local.Relation("T"), 1)
-						addJoin(w, heavyNewR, local.Relation("T"), []int{0}, []int{1}, []int{0, 1, 2})
-						addJoin(w, heavyR, newT, []int{0}, []int{1}, []int{0, 1, 2})
+						addDeltaJoin(w, heavyNewR, heavyR, newT, local.Relation("T"), []int{0}, []int{1}, []int{0, 1, 2})
 						if w.Len() > 0 {
 							local.SetRelation(w)
 						}
@@ -361,11 +372,11 @@ func DeltaSkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.R
 			}
 			round2 := mpc.Round{
 				Name:      fmt.Sprintf("Δskew %d.2 ΔW⋈S", batch),
-				Resident:  append(append([]string(nil), residents...), "ΔSh"),
-				DeltaRels: []string{"ΔW"},
+				Resident:  residents,
+				DeltaRels: []string{"ΔW", dS},
 				Route:     route2,
 				Compute: func(_ int, local *rel.Instance) *rel.Instance {
-					newSh := local.FoldDelta("ΔSh", "S", 2)
+					newSh := local.FoldDelta(dS, "S", 2)
 					newW := local.FoldDelta("ΔW", "W", 3)
 					if newSh.Len() == 0 && newW.Len() == 0 {
 						return local
@@ -374,10 +385,7 @@ func DeltaSkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.R
 					// Match W(a,b,c) with S(b,c) on (b, c); W's b is
 					// always heavy, so light grid copies of S here never
 					// join — the full-S join self-filters to the heavy side.
-					indexOn(local.Relation("S"), 0, 1)
-					indexOn(local.Relation("W"), 1, 2)
-					addJoin(h, newW, local.Relation("S"), []int{1, 2}, []int{0, 1}, []int{0, 1, 2})
-					addJoin(h, local.Relation("W"), newSh, []int{1, 2}, []int{0, 1}, []int{0, 1, 2})
+					addDeltaJoin(h, newW, local.Relation("W"), newSh, local.Relation("S"), []int{1, 2}, []int{0, 1}, []int{0, 1, 2})
 					return local
 				},
 			}

@@ -116,7 +116,20 @@ func refClosure(inst *rel.Instance) *rel.Instance {
 // byte-identical to the single-batch run. Placement is a pure content
 // hash and folds are idempotent, so how the input was batched must be
 // unobservable.
-func TestDeltaProgramsScheduleInvariant(t *testing.T) {
+// deltaCase is one delta program with an input and the independent
+// reference content of its view relation.
+type deltaCase struct {
+	name  string
+	p     int
+	prog  mpc.DeltaProgram
+	input *rel.Instance
+	view  string
+	want  *rel.Instance
+}
+
+// deltaCases covers every gym delta program.
+func deltaCases(t *testing.T) []deltaCase {
+	t.Helper()
 	d := rel.NewDict()
 	joinQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z)")
 	graph := workload.RandomGraph(24, 40, 7)
@@ -128,21 +141,16 @@ func TestDeltaProgramsScheduleInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cases := []struct {
-		name  string
-		p     int
-		prog  mpc.DeltaProgram
-		input *rel.Instance
-		view  string
-		want  *rel.Instance // reference content of the view relation
-	}{
+	return []deltaCase{
 		{"ΔTC", 5, DeltaTCProgram(5, 11), graph, "TC", refClosure(graph)},
 		{"Δjoin", 4, DeltaJoinProgram(4, 3), joinInst, "H", cq.Output(joinQ, joinInst)},
 		{"Δcascade", 6, DeltaCascadeTriangleProgram(6, 11), triInst, "H", cq.Output(triangleCQ(), triInst)},
 		{"Δskew", 6, DeltaSkewTriangleProgram(6, heavy, 17, grid), skewInst, "H", cq.Output(triangleCQ(), skewInst)},
 	}
+}
 
+func TestDeltaProgramsScheduleInvariant(t *testing.T) {
+	cases := deltaCases(t)
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,6 +190,42 @@ func TestDeltaProgramsScheduleInvariant(t *testing.T) {
 			}
 			if a.DeltaCommTotal() != a.TotalComm() {
 				t.Errorf("delta program shipped non-delta facts: delta %d of total %d", a.DeltaCommTotal(), a.TotalComm())
+			}
+		})
+	}
+}
+
+// The static form of every delta program is derived, not written:
+// loading round-robin and running mpc.Unroll(prog, n) — n the fixpoint
+// depth RunDelta reached — must be byte-identical to RunDelta in
+// output, per-server state and logical trace (round names, loads and
+// delta communication).
+func TestUnrollMatchesRunDelta(t *testing.T) {
+	for _, tc := range deltaCases(t) {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			ref := mpc.NewCluster(tc.p)
+			if err := ref.RunDelta(tc.prog, tc.input); err != nil {
+				t.Fatal(err)
+			}
+			c := mpc.NewCluster(tc.p)
+			c.LoadRoundRobin(tc.input)
+			if err := c.Run(mpc.Unroll(tc.prog, ref.DeltaSteps())...); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.Output().String(), ref.Output().String(); got != want {
+				t.Errorf("output diverged:\n got %s\nwant %s", got, want)
+			}
+			for i := 0; i < tc.p; i++ {
+				if got, want := c.Server(i).String(), ref.Server(i).String(); got != want {
+					t.Errorf("server %d state diverged:\n got %s\nwant %s", i, got, want)
+				}
+			}
+			if got, want := c.LogicalTrace(), ref.LogicalTrace(); got != want {
+				t.Errorf("logical trace diverged:\n got %s\nwant %s", got, want)
+			}
+			if c.DeltaCommTotal() == 0 {
+				t.Errorf("lowered program shipped no delta facts")
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"fmt"
+	"strings"
 
 	"mpclogic/internal/rel"
 )
@@ -50,6 +51,67 @@ type DeltaProgram struct {
 	// is the fixpoint condition after an Inject; an empty list means
 	// the view needs no Step loop.
 	Frontier []string
+}
+
+// Unroll lowers prog to the static round list of a from-scratch run:
+// batch 0's Inject rounds followed by Step(0..steps-1), for a cluster
+// loaded with LoadRoundRobin instead of RunDelta. steps is the fixpoint
+// depth the program reaches on the input (DeltaSteps after RunDelta;
+// content-hash placement makes it independent of p).
+//
+// Only the first round changes: the input arrives under full names, so
+// for each ΔX it ships, Route and Keep see a fact of X as ΔX, Compute
+// first renames the inbox's X to ΔX, and DeltaRels names X instead so
+// DeltaComm is RunDelta's. Resident is dropped — nothing is resident
+// before batch 0, and a resident X would keep the input from shipping.
+// The lowered run is byte-identical to RunDelta: output, per-server
+// state and LogicalTrace.
+func Unroll(prog DeltaProgram, steps int) []Round {
+	rounds := append([]Round(nil), prog.Inject(0)...)
+	for k := 0; k < steps; k++ {
+		rounds = append(rounds, prog.Step(k))
+	}
+	if len(rounds) > 0 {
+		rounds[0] = fromFullNames(rounds[0])
+	}
+	return rounds
+}
+
+// fromFullNames adapts a batch-0 round to input loaded under full
+// relation names (see Unroll).
+func fromFullNames(r Round) Round {
+	deltaOf := make(map[string]string, len(r.DeltaRels))
+	full := make([]string, len(r.DeltaRels))
+	for i, d := range r.DeltaRels {
+		full[i] = strings.TrimPrefix(d, DeltaName(""))
+		deltaOf[full[i]] = d
+	}
+	asDelta := func(f rel.Fact) rel.Fact {
+		if d, ok := deltaOf[f.Rel]; ok {
+			f.Rel = d
+		}
+		return f
+	}
+	out := Round{Name: r.Name, DeltaRels: full}
+	if r.Route != nil {
+		out.Route = RouterFunc(func(f rel.Fact) []int { return r.Route.Route(asDelta(f)) })
+	}
+	if r.Keep != nil {
+		out.Keep = func(f rel.Fact) bool { return r.Keep(asDelta(f)) }
+	}
+	out.Compute = func(server int, local *rel.Instance) *rel.Instance {
+		for i, x := range full {
+			if rl := local.RemoveRelation(x); rl != nil {
+				rl.Name = r.DeltaRels[i]
+				local.SetRelation(rl)
+			}
+		}
+		if r.Compute == nil {
+			return local
+		}
+		return r.Compute(server, local)
+	}
+	return out
 }
 
 // deltaState is a cluster's installed delta program plus the counters

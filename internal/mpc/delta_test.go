@@ -68,6 +68,30 @@ func naturals(vals ...int) *rel.Instance {
 	return i
 }
 
+// Unroll on a recursive program: the lowered rounds, run from a
+// round-robin load, replay RunDelta byte for byte. (gym's
+// TestUnrollMatchesRunDelta covers the real programs, Keep included.)
+func TestUnrollReplaysRunDelta(t *testing.T) {
+	in := naturals(3, 5, 9)
+	ref := NewCluster(4)
+	if err := ref.RunDelta(countdownProgram(4), in); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCluster(4)
+	c.LoadRoundRobin(in)
+	if err := c.Run(Unroll(countdownProgram(4), ref.DeltaSteps())...); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.LogicalTrace(), ref.LogicalTrace(); got != want {
+		t.Fatalf("logical trace diverged:\n got %s\nwant %s", got, want)
+	}
+	for i := 0; i < 4; i++ {
+		if got, want := c.Server(i).String(), ref.Server(i).String(); got != want {
+			t.Errorf("server %d: got %s, want %s", i, got, want)
+		}
+	}
+}
+
 func TestRunDeltaReachesFixpoint(t *testing.T) {
 	c := NewCluster(4)
 	if err := c.RunDelta(countdownProgram(4), naturals(3)); err != nil {

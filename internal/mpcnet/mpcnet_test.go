@@ -1,10 +1,13 @@
 package mpcnet
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"testing"
 
+	"mpclogic/internal/datalog"
+	"mpclogic/internal/gym"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 )
@@ -208,6 +211,74 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsDamage: a checkpoint whose recorded round or
+// accounting length contradicts the round its file is named for is a
+// *CheckpointError, not a resume at the wrong round.
+func TestCheckpointRejectsDamage(t *testing.T) {
+	dir := t.TempDir()
+	state := rel.FromFacts(rel.NewFact("E", 1, 2))
+	if err := writeCheckpoint(dir, 0, 2, []int{3, 4}, []int{0, 1}, state); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readCheckpoint(dir, 0, 2); err != nil {
+		t.Fatalf("intact checkpoint rejected: %v", err)
+	}
+	// Renamed to another round: the recorded round disagrees.
+	if err := os.Rename(ckptPath(dir, 0, 2), ckptPath(dir, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	// Short accounting: two received counts for round 3.
+	if err := writeCheckpoint(dir, 0, 3, []int{3, 4}, []int{0, 1}, state); err != nil {
+		t.Fatal(err)
+	}
+	// Mismatched accounting: a delta count missing.
+	if err := writeCheckpoint(dir, 0, 1, []int{3}, nil, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckptPath(dir, 0, 4), []byte(`{"round":4,`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{5, 3, 1, 4} {
+		_, _, err := readCheckpoint(dir, 0, r)
+		var ce *CheckpointError
+		if !errors.As(err, &ce) || ce.Round != r {
+			t.Errorf("round %d: got %v, want a *CheckpointError for round %d", r, err, r)
+		}
+	}
+}
+
+// FuzzWorkerCheckpoint: decoding arbitrary checkpoint bytes never
+// panics; it either fails with a *CheckpointError or yields a
+// checkpoint consistent with the round it was read for.
+func FuzzWorkerCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	state := rel.FromFacts(rel.NewFact("E", 1, 2), rel.NewFact("TC", 2, 3))
+	for r := 0; r < 3; r++ {
+		if err := writeCheckpoint(dir, 0, r, make([]int, r), make([]int, r), state); err != nil {
+			f.Fatal(err)
+		}
+		enc, err := os.ReadFile(ckptPath(dir, 0, r))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc, uint8(r))
+		f.Add(enc, uint8(r+1))
+	}
+	f.Fuzz(func(t *testing.T, enc []byte, round uint8) {
+		ck, local, err := decodeCheckpoint(enc, int(round))
+		if err != nil {
+			var ce *CheckpointError
+			if !errors.As(err, &ce) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			return
+		}
+		if ck.Round != int(round) || len(ck.Received) != int(round) || len(ck.DeltaSent) != int(round) || local == nil {
+			t.Fatalf("accepted a checkpoint inconsistent with round %d: %+v", round, ck)
+		}
+	})
+}
+
 // TestCheckpointGC: GC removes exactly this worker's rounds below the
 // keep bound, recovery still works from the retained set, and other
 // workers' checkpoints are untouched.
@@ -216,7 +287,7 @@ func TestCheckpointGC(t *testing.T) {
 	state := rel.NewInstance()
 	state.Add(rel.NewFact("E", 1, 2))
 	for r := 0; r <= 3; r++ {
-		if err := writeCheckpoint(dir, 0, r, []int{1}, []int{0}, state); err != nil {
+		if err := writeCheckpoint(dir, 0, r, make([]int, r), make([]int, r), state); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,24 +361,40 @@ func TestDistributedRunGCsCheckpoints(t *testing.T) {
 	}
 }
 
-// TestTCStepsUnrollsToFixpoint: the unrolled program must actually
-// reach the transitive closure — no round short of the fixpoint.
-func TestTCStepsUnrollsToFixpoint(t *testing.T) {
-	spec := ProgramSpec{Program: "tc", P: 3, M: 10, Seed: 7}
-	built, err := Build(spec)
+// TestTCLoweredToFixpoint: tc is semi-naive TC lowered to the fixpoint
+// depth of a 1-server run. That depth must be the one RunDelta reaches
+// at every p, and the lowered run must compute the transitive closure.
+func TestTCLoweredToFixpoint(t *testing.T) {
+	prog, err := datalog.Parse(rel.NewDict(), "TC(x, y) :- E(x, y).\nTC(x, z) :- TC(x, y), E(y, z).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLocal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One more global step must be a no-op.
-	again := tcCompute(0, res.Output)
-	if again.Len() != res.Output.Len() {
-		t.Errorf("program of %d rounds stopped short of the fixpoint", len(built.Rounds))
-	}
-	if tc := res.Output.Relation("TC"); tc == nil || tc.Len() == 0 {
-		t.Errorf("transitive closure is empty")
+	for _, seed := range []uint64{1, 7, 42} {
+		for _, p := range []int{1, 2, 3, 4, 8} {
+			spec := ProgramSpec{Program: "tc", P: p, M: 16, Seed: seed}
+			built, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := mpc.NewCluster(p)
+			if err := c.RunDelta(gym.DeltaTCProgram(p, seed), built.Input); err != nil {
+				t.Fatal(err)
+			}
+			if steps := len(built.Rounds) - 1; steps != c.DeltaSteps() {
+				t.Errorf("seed %d p=%d: lowered to %d steps, RunDelta took %d", seed, p, steps, c.DeltaSteps())
+			}
+			res, err := RunLocal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := datalog.EvalQuery(prog, built.Input, "TC")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, exp := res.Output.Relation("TC"), want.Relation("TC")
+			if got == nil || exp == nil || !got.Equal(exp) {
+				t.Errorf("seed %d p=%d: lowered TC differs from datalog.EvalQuery", seed, p)
+			}
+		}
 	}
 }

@@ -8,8 +8,10 @@
 //
 // Everything a worker needs is a pure function of the ProgramSpec: the
 // workload is regenerated from its seed, the program is rebuilt
-// deterministically, and the worker's slice of the initial placement
-// is the same k%p round-robin the simulator's LoadRoundRobin performs.
+// deterministically from the gym and hypercube builders (mpcnet has no
+// algorithms of its own; the delta programs run as their mpc.Unroll
+// lowering), and the worker's slice of the initial placement is the
+// same k%p round-robin the simulator's LoadRoundRobin performs.
 // That purity is what makes recovery trivial to reason about: a killed
 // worker reloads its latest checkpoint (written through the policy
 // store encoding) and re-executes; determinism guarantees the re-run
@@ -33,8 +35,10 @@ import (
 // workload and program from it independently. It travels as JSON on
 // the worker command line.
 type ProgramSpec struct {
-	// Program selects the algorithm: tc | cascade | hypercube |
-	// yannakakis | gym.
+	// Program selects the algorithm, each built by its gym or
+	// hypercube builder: tc (gym.DeltaTCProgram lowered to its
+	// fixpoint depth), cascade (gym.DeltaCascadeTriangleProgram
+	// lowered), hypercube, yannakakis, or gym.
 	Program string `json:"program"`
 	// P is the requested server count; the effective count may be
 	// smaller for share-constrained programs (see Built.P).
@@ -67,14 +71,20 @@ func Build(spec ProgramSpec) (*Built, error) {
 	d := rel.NewDict()
 	switch spec.Program {
 	case "tc":
-		// Random sparse graph; the static program is the naive
-		// transitive-closure iteration unrolled to its fixpoint depth,
-		// which is itself a pure function of the generated graph.
+		// Random sparse graph; semi-naive TC lowered to its fixpoint
+		// depth. Placement is a content hash, so the depth a 1-server
+		// run reaches is the depth at every p.
 		input := workload.RandomGraph(spec.M/2+2, spec.M, int64(spec.Seed))
-		return &Built{Rounds: tcProgram(spec.P, spec.Seed, input), Input: input, P: spec.P}, nil
+		one := mpc.NewCluster(1)
+		if err := one.RunDelta(gym.DeltaTCProgram(1, spec.Seed), input); err != nil {
+			return nil, fmt.Errorf("mpcnet: tc fixpoint depth: %w", err)
+		}
+		rounds := mpc.Unroll(gym.DeltaTCProgram(spec.P, spec.Seed), one.DeltaSteps())
+		return &Built{Rounds: rounds, Input: input, P: spec.P}, nil
 	case "cascade":
 		input := workload.TriangleSkewFree(spec.M)
-		return &Built{Rounds: gym.CascadeTriangleProgram(spec.P, spec.Seed), Input: input, P: spec.P}, nil
+		rounds := mpc.Unroll(gym.DeltaCascadeTriangleProgram(spec.P, spec.Seed), 0)
+		return &Built{Rounds: rounds, Input: input, P: spec.P}, nil
 	case "hypercube":
 		q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
 		input := workload.TriangleSkewFree(spec.M)
@@ -119,63 +129,4 @@ func WorkerSlice(input *rel.Instance, p, i int) *rel.Instance {
 		return true
 	})
 	return out
-}
-
-// tcCompute is one semi-naive-free TC step: the new state keeps
-// everything received, seeds TC from E, and extends it by one E-edge.
-// Routing colocates TC(a,b) and E(b,c) at h(b), so the join is local.
-func tcCompute(_ int, local *rel.Instance) *rel.Instance {
-	out := rel.NewInstance()
-	out.AddAll(local)
-	e := local.Relation("E")
-	if e == nil {
-		return out
-	}
-	e.Each(func(t rel.Tuple) bool {
-		out.Add(rel.NewFact("TC", t[0], t[1]))
-		return true
-	})
-	if tc := local.Relation("TC"); tc != nil {
-		rel.HashJoin("⋈", tc, e, []int{1}, []int{0}).Each(func(t rel.Tuple) bool {
-			out.Add(rel.NewFact("TC", t[0], t[3]))
-			return true
-		})
-	}
-	return out
-}
-
-// tcProgram unrolls naive transitive closure to its fixpoint depth on
-// the given graph: each round routes E by source and TC by target to
-// colocate one join step. The depth is computed by running the same
-// step function globally, so the static program is a pure function of
-// (p, seed, graph) and every process derives the identical round list.
-func tcProgram(p int, seed uint64, graph *rel.Instance) []mpc.Round {
-	steps := tcSteps(graph)
-	rounds := make([]mpc.Round, steps)
-	for i := range rounds {
-		rounds[i] = mpc.Round{
-			Name: fmt.Sprintf("tc-step-%d", i),
-			Route: mpc.ByRelation(map[string]mpc.Router{
-				"E":  mpc.HashOn(p, []int{0}, seed),
-				"TC": mpc.HashOn(p, []int{1}, seed),
-			}),
-			Compute: tcCompute,
-		}
-	}
-	return rounds
-}
-
-// tcSteps counts the rounds the unrolled program needs: global
-// applications of the same step until nothing changes (the final
-// confirming step included, mirroring a fixpoint engine's last pass).
-func tcSteps(graph *rel.Instance) int {
-	state := rel.NewInstance()
-	state.AddAll(graph)
-	for steps := 1; ; steps++ {
-		next := tcCompute(0, state)
-		if next.Len() == state.Len() {
-			return steps
-		}
-		state = next
-	}
 }

@@ -79,20 +79,50 @@ func readCheckpoint(dir string, index, round int) (*checkpoint, *rel.Instance, e
 	if err != nil {
 		return nil, nil, err
 	}
+	return decodeCheckpoint(enc, round)
+}
+
+// CheckpointError reports a worker checkpoint file whose content is
+// damaged: it does not decode, or its fields contradict the round the
+// file is named for. Resuming from it would restart the worker at the
+// wrong round or with the wrong accounting, so the worker fails instead.
+type CheckpointError struct {
+	Round int // the round the file is named for
+	Err   error
+}
+
+func (e *CheckpointError) Error() string {
+	return fmt.Sprintf("mpcnet: damaged checkpoint for round %d: %v", e.Round, e.Err)
+}
+
+func (e *CheckpointError) Unwrap() error { return e.Err }
+
+// decodeCheckpoint decodes the checkpoint file of the given round. Any
+// damage is a *CheckpointError.
+func decodeCheckpoint(enc []byte, round int) (*checkpoint, *rel.Instance, error) {
+	damaged := func(format string, args ...any) (*checkpoint, *rel.Instance, error) {
+		return nil, nil, &CheckpointError{Round: round, Err: fmt.Errorf(format, args...)}
+	}
 	var ck checkpoint
 	if err := json.Unmarshal(enc, &ck); err != nil {
-		return nil, nil, fmt.Errorf("mpcnet: decoding checkpoint %d: %w", round, err)
+		return damaged("decoding: %w", err)
+	}
+	if ck.Round != round {
+		return damaged("records round %d", ck.Round)
+	}
+	if len(ck.Received) != round || len(ck.DeltaSent) != round {
+		return damaged("holds %d received and %d delta counts, want %d each", len(ck.Received), len(ck.DeltaSent), round)
 	}
 	raw, err := base64.StdEncoding.DecodeString(ck.State)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mpcnet: decoding checkpoint %d state: %w", round, err)
+		return damaged("decoding state: %w", err)
 	}
 	store, err := policy.DecodeStore(bytes.NewReader(raw))
 	if err != nil {
-		return nil, nil, fmt.Errorf("mpcnet: decoding checkpoint %d store: %w", round, err)
+		return damaged("decoding store: %w", err)
 	}
 	if store.NumNodes() != 1 {
-		return nil, nil, fmt.Errorf("mpcnet: checkpoint %d holds %d fragments, want 1", round, store.NumNodes())
+		return damaged("holds %d fragments, want 1", store.NumNodes())
 	}
 	return &ck, store.Reload(0), nil
 }

@@ -92,6 +92,14 @@ func TestFoldDeltaCreatesResident(t *testing.T) {
 	if e == nil || e.Len() != 1 || e.Arity != 2 || !e.Contains(Tuple{7, 8}) {
 		t.Fatalf("resident E not created correctly: %v", e)
 	}
+	if e.Name != "E" || newTuples.Name != "ΔE" {
+		t.Fatalf("names after first fold: resident %q, new tuples %q", e.Name, newTuples.Name)
+	}
+	// The adopted resident and the returned sub-delta are independent.
+	newTuples.Add(Tuple{9, 9})
+	if e.Len() != 1 {
+		t.Fatalf("sub-delta aliases the resident: %v", e.Tuples())
+	}
 }
 
 func TestFoldDeltaMissingDelta(t *testing.T) {

@@ -122,11 +122,20 @@ func (i *Instance) RemoveRelation(name string) *Relation {
 // tuples as a relation named delta. A missing or empty delta folds as
 // empty. This is the receiver side of a delta round: the shipped Δ
 // fragment disappears into the resident full copy, and the returned
-// sub-delta seeds the next derivation step.
+// sub-delta seeds the next derivation step. The first fold into an
+// absent or empty resident adopts the fragment itself as the resident
+// and returns a copy, instead of inserting tuple by tuple.
 func (i *Instance) FoldDelta(delta, full string, arity int) *Relation {
 	d := i.RemoveRelation(delta)
 	if d == nil || d.Len() == 0 {
 		return NewRelation(delta, arity)
+	}
+	if f := i.rels[full]; (f == nil || f.Len() == 0) && d.Arity == arity {
+		fresh := d.Clone()
+		fresh.Name = delta
+		d.Name = full
+		i.rels[full] = d
+		return fresh
 	}
 	f := i.EnsureRelationSize(full, arity, d.Len())
 	return f.AbsorbNew(d, delta)
